@@ -58,6 +58,17 @@ let scale () = if !fast then 0.4 else 1.0
 let header title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 
+(* Equivalence verdicts: sections print "yes"/"NO!" per workload; any
+   "NO!" makes the harness exit non-zero once the JSON is written. *)
+let failed_verdicts = ref 0
+
+let verdict ok =
+  if ok then "yes"
+  else begin
+    incr failed_verdicts;
+    "NO!"
+  end
+
 let row4 a b c d = Printf.printf "%-34s %12s %12s %14s\n" a b c d
 let secs s = Printf.sprintf "%.4f s" s
 
@@ -606,7 +617,7 @@ let ext_cache () =
           Printf.printf "%-22s %11s %11s %12s %7d %7d %6s\n" label (secs off_t)
             (secs on_t) (improvement off_t on_t) on_stats.Stats.cache_hits
             on_stats.Stats.cache_misses
-            (if equal then "yes" else "NO!");
+            (verdict equal);
           record_json
             [
               ("section", J_str "ext-cache");
@@ -797,7 +808,7 @@ SELECT COUNT(*) FROM sssp|}
         iters
         (if deltas_agree then "agree" else "DIFFER")
         (seq_events + par_events + dist_events)
-        (if all_ok then "yes" else "NO!");
+        (verdict all_ok);
       record_json
         [
           ("section", J_str "ext-trace");
@@ -953,7 +964,7 @@ let ext_delta () =
       Printf.printf "%-14s %11s %11s %12s %9d %6d %6s\n" label (secs off_t)
         (secs on_t) (improvement off_t on_t)
         on_stats.Stats.delta_rows_evaluated on_stats.Stats.full_reevals
-        (if all_equal then "yes" else "NO!");
+        (verdict all_equal);
       let ms_arr l = J_arr (List.map (fun ms -> J_num ms) l) in
       record_json
         [
@@ -1153,7 +1164,7 @@ let ext_columnar () =
       Printf.printf "%-18s %11s %11s %8.2fx %6s\n" label (secs row_t)
         (secs col_t)
         (row_t /. Float.max col_t 1e-12)
-        (if all_equal then "yes" else "NO!");
+        (verdict all_equal);
       record_json
         [
           ("section", J_str "ext-columnar");
@@ -1804,4 +1815,9 @@ let () =
      compare shapes with the paper, not absolute times.\n"
     (if !fast then " (fast mode)" else "");
   List.iter (fun (_, f) -> f ()) to_run;
-  Option.iter write_json !json_path
+  Option.iter write_json !json_path;
+  if !failed_verdicts > 0 then begin
+    Printf.eprintf "%d equivalence verdict%s failed\n" !failed_verdicts
+      (if !failed_verdicts = 1 then "" else "s");
+    exit 1
+  end

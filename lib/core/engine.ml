@@ -193,6 +193,14 @@ let parallel_of_options (options : Options.t) :
   Dbspinner_exec.Parallel.context ~chunk_rows:options.parallel_chunk_rows
     ~workers:options.parallel_workers ()
 
+(** Run a compiled program with the session's options and guards. *)
+let run_program t ~stats ?trace program =
+  Executor.run_program
+    ?parallel:(parallel_of_options t.options)
+    ~stats ~guards:(guards_of t)
+    ~use_cache:t.options.Options.use_exec_cache
+    ~columnar:t.options.Options.use_columnar ?trace t.catalog program
+
 let run_query ?(keep_temps = false) t (q : Ast.full_query) : Relation.t =
   let program =
     match t.plan_hook with
@@ -201,17 +209,11 @@ let run_query ?(keep_temps = false) t (q : Ast.full_query) : Relation.t =
     | _ -> compile_query t q
   in
   let stats = Stats.create () in
-  let guards = guards_of t in
-  let parallel = parallel_of_options t.options in
   Fun.protect
     ~finally:(fun () ->
       Stats.add ~into:t.stats stats;
       if not keep_temps then Catalog.clear_temps t.catalog)
-    (fun () ->
-      Executor.run_program ?parallel ~stats ~guards
-        ~use_cache:t.options.Options.use_exec_cache
-        ~columnar:t.options.Options.use_columnar ?trace:t.trace t.catalog
-        program)
+    (fun () -> run_program t ~stats ?trace:t.trace program)
 
 (* ------------------------------------------------------------------ *)
 (* DML                                                                 *)
@@ -571,8 +573,6 @@ let rec exec_statement t (stmt : Ast.statement) : result =
            collector — so the convergence timeline can be rendered for
            iterative queries. *)
         let stats = Stats.create () in
-        let guards = guards_of t in
-        let parallel = parallel_of_options t.options in
         let tr =
           match t.trace with
           | Some tr -> tr
@@ -586,11 +586,7 @@ let rec exec_statement t (stmt : Ast.statement) : result =
               ~finally:(fun () ->
                 Stats.add ~into:t.stats stats;
                 Catalog.clear_temps t.catalog)
-              (fun () ->
-                Executor.run_program ?parallel ~stats ~guards
-                  ~use_cache:t.options.Options.use_exec_cache
-                  ~columnar:t.options.Options.use_columnar ~trace:tr
-                  t.catalog program)
+              (fun () -> run_program t ~stats ~trace:tr program)
           in
           (rel, Unix.gettimeofday () -. t0)
         in

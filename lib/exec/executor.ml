@@ -1,13 +1,11 @@
-(** The executor: evaluates logical plans against the catalog and runs
-    step programs (program counter, loop state, rename) — the runtime
-    half of the paper's §VI.
+(** The single-node executor: evaluates logical plans against the
+    catalog and runs step programs on {!Interp} with temps in the
+    catalog — the runtime half of the paper's §VI.
 
     Scans resolve names through the catalog with temps shadowing base
     tables; that is how the iterative reference reads the current
     iteration's version of the CTE table. *)
 
-module Value = Dbspinner_storage.Value
-module Row = Dbspinner_storage.Row
 module Schema = Dbspinner_storage.Schema
 module Relation = Dbspinner_storage.Relation
 module Catalog = Dbspinner_storage.Catalog
@@ -15,11 +13,10 @@ module Table = Dbspinner_storage.Table
 module Logical = Dbspinner_plan.Logical
 module Program = Dbspinner_plan.Program
 module Bound_expr = Dbspinner_plan.Bound_expr
-module Trace = Dbspinner_obs.Trace
 
-exception Execution_error of string
+exception Execution_error = Interp.Execution_error
 
-let error fmt = Printf.ksprintf (fun s -> raise (Execution_error s)) fmt
+let error = Interp.error
 
 (* ------------------------------------------------------------------ *)
 (* Plan evaluation                                                     *)
@@ -197,111 +194,6 @@ let rec run_plan ?parallel ?cache ?guards ?columnar ~(stats : Stats.t)
       Operators.subquery_filter ?cache ~stats ~anti ~key i sq)
 
 (* ------------------------------------------------------------------ *)
-(* Loop state (paper §VI-B)                                            *)
-
-type loop_state = {
-  spec : Program.termination;
-  cte : string;
-  key_idx : int;
-  guard : int;
-  mutable iterations : int;
-  mutable cumulative_updates : int;
-  mutable snapshot : Relation.t option;
-      (** CTE version at the top of the current iteration *)
-  mutable iter_mark : (float * Stats.t) option;
-      (** tracing only: wall clock and stats snapshot at the start of
-          the current iteration, so the iteration span can carry its
-          own deltas. [None] whenever tracing is off. *)
-  mutable d_prev_cte : Relation.t option;
-      (** semi-naive only: CTE version consumed by the previous
-          iteration's [Delta_materialize], diffed against the current
-          version to find changed keys. Distinct from [snapshot]: the
-          snapshot feeds termination accounting and is taken at the top
-          of the body, while this one is updated by the delta step
-          itself, so a program may use either, both or neither. *)
-  mutable d_prev_work : Relation.t option;
-      (** semi-naive only: the previous iteration's work output, reused
-          for unaffected keys when stitching. *)
-  mutable d_cutoff_streak : int;
-      (** consecutive iterations whose diff hit the large-delta cutoff;
-          at {!delta_cutoff_streak_limit} the loop stops diffing
-          entirely (PageRank-style loops update every key every
-          iteration — without the streak they would pay an O(|CTE|)
-          diff per iteration just to learn that, every time). *)
-}
-
-(** Consecutive large-delta cutoffs after which a loop permanently
-    falls back to full re-evaluation. Deterministic (purely
-    data-driven), so every executor makes the same decision and stats
-    stay comparable across them. *)
-let delta_cutoff_streak_limit = 3
-
-(** Decide whether another iteration is needed, updating counters.
-    Returns the continue flag and, when it was computed (or when
-    [want_delta] forces it for the trace timeline), this iteration's
-    update count.
-
-    First-iteration semantics, load-bearing and regression-tested in
-    [test_exec.ml]: when [st.snapshot = None] (no [Snapshot] step has
-    run for this loop — hand-built programs, or the distributed
-    executor's [Max_iterations] fast path) the "delta" is the {e full}
-    CTE cardinality, because with no previous version every row counts
-    as updated. Consequently [Max_updates n] charges the whole first
-    materialization against its budget, and [Delta_at_most 0] can never
-    converge without a snapshot — even on already-converged input —
-    until the guard trips. Compiled programs always emit [Snapshot] at
-    the top of the loop body, so user queries get true deltas from
-    iteration 2 on; the first iteration still counts full cardinality
-    (snapshot of a not-yet-materialized CTE is [None]). A refactor
-    that made the first delta 0 would silently let [UNTIL DELTA]
-    loops terminate one iteration early. *)
-let loop_continue ~(stats : Stats.t) ?(want_delta = false) catalog
-    (st : loop_state) : bool * int option =
-  st.iterations <- st.iterations + 1;
-  stats.Stats.loop_iterations <- stats.Stats.loop_iterations + 1;
-  let current () = Catalog.find_temp catalog st.cte in
-  (* Pure reads only (cardinality / delta_count touch no stats), so
-     forcing this for the trace cannot perturb logical counters. *)
-  let updates_this_iteration =
-    lazy
-      (match st.snapshot with
-      | None -> Relation.cardinality (current ())
-      | Some prev -> Relation.delta_count ~key_idx:st.key_idx prev (current ()))
-  in
-  let continue_ =
-    match st.spec with
-    | Program.Max_iterations n -> st.iterations < n
-    | Program.Max_updates n ->
-      st.cumulative_updates <-
-        st.cumulative_updates + Lazy.force updates_this_iteration;
-      st.cumulative_updates < n
-    | Program.Delta_at_most bound -> Lazy.force updates_this_iteration > bound
-    | Program.Data { any; pred } ->
-      let rel = current () in
-      let satisfied = ref 0 in
-      Relation.iter (fun r -> if Eval.eval_pred r pred then incr satisfied) rel;
-      (* ALL over an empty relation is vacuously true: a CTE that
-         drains to empty must stop, not spin until the guard trips. *)
-      let stop =
-        if any then !satisfied > 0 else !satisfied = Relation.cardinality rel
-      in
-      not stop
-  in
-  (* The guard trips only when another iteration would actually run: a
-     loop whose termination fires exactly on the guard iteration
-     returns its result instead of erroring. *)
-  if continue_ && st.iterations >= st.guard then
-    error "iterative CTE %s exceeded the %d-iteration guard without meeting \
-           its termination condition"
-      st.cte st.guard;
-  let delta =
-    if want_delta || Lazy.is_val updates_this_iteration then
-      Some (Lazy.force updates_this_iteration)
-    else None
-  in
-  (continue_, delta)
-
-(* ------------------------------------------------------------------ *)
 (* Recursive CTE (semi-naive)                                          *)
 
 let run_recursive ?parallel ?cache ?guards ?columnar ~stats catalog ~name
@@ -352,40 +244,14 @@ let run_recursive ?parallel ?cache ?guards ?columnar ~stats catalog ~name
 (* Program execution                                                   *)
 
 let assert_unique_key catalog ~temp ~key_idx =
-  let rel = Catalog.find_temp catalog temp in
-  (* [key_values] reads whichever view is materialized, so a columnar
-     pipeline is not forced into a full row conversion just to check
-     one column. *)
-  let keys = Relation.key_values rel key_idx in
-  let seen = Hashtbl.create (Array.length keys) in
-  Array.iter
-    (fun k ->
-      if Value.is_null k then
-        error
-          "iterative CTE produced a NULL row key; specify a key column or \
-           remove NULL keys"
-      else if Hashtbl.mem seen k then
-        error
-          "iterative CTE produced duplicate rows for key %s; resolve \
-           duplicates with an aggregation or GROUP BY (see paper §II)"
-          (Value.to_string k)
-      else Hashtbl.replace seen k ())
-    keys
+  Interp.check_unique_key (Catalog.find_temp catalog temp) ~key_idx
 
-(** Run a step program to completion and return the final relation.
-    [guards] (wall-clock deadline, rows-materialized budget) are
-    checked at materialize and loop boundaries. [use_cache] enables the
-    per-run iteration-aware {!Cache}; results and logical stats are
-    identical either way.
-
-    [trace], when given, records one {!Trace} span per executed step,
-    per loop iteration (carrying the convergence gauges), per operator
-    family and per program. The [None] path does no tracing work at
-    all, and the [Some] path reads counters and relations purely, so
-    traced and untraced runs stay [Stats.logical_equal]. *)
-let run_program ?parallel ?(stats = Stats.create ()) ?(guards = Guards.none)
-    ?(use_cache = true) ?(columnar = false) ?trace (catalog : Catalog.t)
-    (program : Program.t) : Relation.t =
+(** The single-node backend: temps live in the catalog, gather and
+    scatter are the identity, and every rebinding step invalidates the
+    per-run cache. Faults are not its business: every exception
+    propagates. *)
+let backend ?parallel ?(guards = Guards.none) ?(use_cache = true)
+    ?(columnar = false) ~stats catalog : Relation.t Interp.backend =
   let cache = if use_cache then Some (Cache.create ()) else None in
   (* In-operator probes are free to skip when no limit is set; [None]
      keeps the per-row tick a single branch. *)
@@ -394,349 +260,44 @@ let run_program ?parallel ?(stats = Stats.create ()) ?(guards = Guards.none)
      stale hits impossible, but entries built over a dead generation
      would otherwise pile up for the length of the loop. *)
   let invalidate n = Option.iter (fun c -> Cache.invalidate_temp c n) cache in
-  let steps = Program.steps program in
-  let loops : (int, loop_state) Hashtbl.t = Hashtbl.create 4 in
-  let result = ref None in
-  let pc = ref 0 in
-  let prog_mark =
-    match trace with
-    | None -> None
-    | Some _ -> Some (Unix.gettimeofday (), Stats.copy stats)
-  in
-  let step_label step =
-    match step with
-    | Program.Materialize { target; _ } -> "materialize:" ^ target
-    | Program.Delta_materialize { target; _ } -> "delta_materialize:" ^ target
-    | Program.Rename { from_; into } -> "rename:" ^ from_ ^ "->" ^ into
-    | Program.Drop_temp name -> "drop:" ^ name
-    | Program.Assert_unique_key { temp; _ } -> "assert_unique:" ^ temp
-    | Program.Init_loop { cte; _ } -> "init_loop:" ^ cte
-    | Program.Snapshot { loop_id } -> Printf.sprintf "snapshot:%d" loop_id
-    | Program.Loop_end { loop_id; _ } -> Printf.sprintf "loop_end:%d" loop_id
-    | Program.Recursive_cte { name; _ } -> "recursive_cte:" ^ name
-    | Program.Return _ -> "return"
-  in
-  while !pc < Array.length steps do
-    let jump = ref None in
-    (* Gauges the current step wants attached to its Step span. *)
-    let step_rows = ref (-1) in
-    let step_delta = ref (-1) in
-    let step_mark =
-      match trace with
-      | None -> None
-      | Some _ -> Some (Unix.gettimeofday (), Stats.copy stats)
-    in
-    (match steps.(!pc) with
-    | Program.Materialize { target; plan } ->
-      let rel =
-        run_plan ?parallel ?cache ?guards:gopt ~columnar ~stats catalog plan
-      in
-      stats.Stats.materializations <- stats.Stats.materializations + 1;
-      stats.Stats.rows_materialized <-
-        stats.Stats.rows_materialized + Relation.cardinality rel;
-      step_rows := Relation.cardinality rel;
-      Guards.check guards ~stats;
-      Catalog.set_temp catalog target rel;
-      invalidate target
-    | Program.Delta_materialize
-        {
-          loop_id;
-          target;
-          cte;
-          key_idx;
-          full_plan;
-          restricted_plan;
-          affected_plans;
-          delta_name;
-          affected_name;
-        } -> (
-      match Hashtbl.find_opt loops loop_id with
-      | None -> error "Delta_materialize for uninitialized loop %d" loop_id
-      | Some st ->
-        let cur = Catalog.find_temp catalog cte in
-        let full_eval () =
-          stats.Stats.full_reevals <- stats.Stats.full_reevals + 1;
-          run_plan ?parallel ?cache ?guards:gopt ~columnar ~stats catalog
-            full_plan
-        in
-        let work =
-          match st.d_prev_cte, st.d_prev_work with
-          | Some prev, Some prev_work -> (
-            (* Cutoff: when at least half the keys changed, restriction
-               buys nothing — the extra diff/stitch passes would make
-               the iteration slower than a plain re-evaluation (PageRank
-               updates every key every iteration and takes this path).
-               The bounded diff abandons the scan — and skips building
-               the delta relation entirely — the moment the distinct
-               changed-key count reaches the cutoff. [max 1] keeps the
-               decision order of the unbounded original: a zero-change
-               scan must fall through to the empty-delta fast path, not
-               report a cutoff. *)
-            let cutoff = max 1 ((Relation.cardinality cur + 1) / 2) in
-            match Relation.changed_rows_bounded ~key_idx ~cutoff prev cur with
-            | None ->
-              st.d_cutoff_streak <- st.d_cutoff_streak + 1;
-              full_eval ()
-            | Some delta ->
-              if Relation.cardinality delta = 0 then begin
-                (* Nothing changed: last iteration's work output is
-                   still exact. (The loop is about to converge; this
-                   avoids one final full pass.) *)
-                st.d_cutoff_streak <- 0;
-                prev_work
-              end
-              else begin
-                let changed_keys = Hashtbl.create 64 in
-                Relation.iter
-                  (fun r -> Hashtbl.replace changed_keys r.(key_idx) ())
-                  delta;
-                st.d_cutoff_streak <- 0;
-                Catalog.set_temp catalog delta_name delta;
-                invalidate delta_name;
-                (* Affected keys: directly-changed keys plus every key
-                   that reads a changed row through a join leg. *)
-                let affected = Hashtbl.create 64 in
-                Hashtbl.iter
-                  (fun k () -> Hashtbl.replace affected k ())
-                  changed_keys;
-                List.iter
-                  (fun p ->
-                    let rel =
-                      run_plan ?parallel ?cache ?guards:gopt ~columnar ~stats
-                        catalog p
-                    in
-                    Relation.iter
-                      (fun r -> Hashtbl.replace affected r.(0) ())
-                      rel)
-                  affected_plans;
-                let a_rows =
-                  Hashtbl.fold (fun k () acc -> [| k |] :: acc) affected []
-                in
-                Catalog.set_temp catalog affected_name
-                  (Relation.make
-                     (Schema.of_names [ "key" ])
-                     (Array.of_list a_rows));
-                invalidate affected_name;
-                let restricted =
-                  run_plan ?parallel ?cache ?guards:gopt ~columnar ~stats
-                    catalog restricted_plan
-                in
-                stats.Stats.delta_rows_evaluated <-
-                  stats.Stats.delta_rows_evaluated
-                  + Relation.cardinality restricted;
-                (* Stitch in CTE order, one key at a time: recomputed
-                   rows for affected keys, the previous work row
-                   otherwise. Eligible plans emit output in driver
-                   (CTE) key order, so this reproduces the full
-                   evaluation bit for bit — including rows-per-key
-                   multiplicities, so a duplicate-key plan still trips
-                   [Assert_unique_key] exactly as it would have. *)
-                let by_key : (Value.t, Row.t list) Hashtbl.t =
-                  Hashtbl.create 64
-                in
-                Relation.iter
-                  (fun r ->
-                    let k = r.(key_idx) in
-                    let rest =
-                      try Hashtbl.find by_key k with Not_found -> []
-                    in
-                    Hashtbl.replace by_key k (r :: rest))
-                  restricted;
-                let out = ref [] in
-                let cur_rows = Relation.rows cur in
-                let prev_rows = Relation.rows prev_work in
-                let n_cur = Array.length cur_rows in
-                (* Fast path: when the previous output lists the same
-                   keys at the same positions (the steady state of an
-                   iterative loop, whose key sequence is stable and —
-                   per the §II requirement, enforced by
-                   [Assert_unique_key] — duplicate-free), unaffected
-                   rows are copied by index with no hashing. *)
-                let aligned =
-                  Array.length prev_rows = n_cur
-                  &&
-                  let ok = ref true in
-                  let i = ref 0 in
-                  while !ok && !i < n_cur do
-                    if
-                      not
-                        (Value.equal
-                           cur_rows.(!i).(key_idx)
-                           prev_rows.(!i).(key_idx))
-                    then ok := false;
-                    incr i
-                  done;
-                  !ok
-                in
-                if aligned then
-                  for i = 0 to n_cur - 1 do
-                    let k = cur_rows.(i).(key_idx) in
-                    if Hashtbl.mem affected k then
-                      List.iter
-                        (fun row -> out := row :: !out)
-                        (List.rev
-                           (try Hashtbl.find by_key k with Not_found -> []))
-                    else out := prev_rows.(i) :: !out
-                  done
-                else begin
-                  let prev_by_key = Hashtbl.create 64 in
-                  Relation.iter
-                    (fun r ->
-                      if not (Hashtbl.mem prev_by_key r.(key_idx)) then
-                        Hashtbl.replace prev_by_key r.(key_idx) r)
-                    prev_work;
-                  let seen_keys =
-                    Hashtbl.create (Relation.cardinality cur)
-                  in
-                  Relation.iter
-                    (fun r ->
-                      let k = r.(key_idx) in
-                      if not (Hashtbl.mem seen_keys k) then begin
-                        Hashtbl.replace seen_keys k ();
-                        if Hashtbl.mem affected k then
-                          List.iter
-                            (fun row -> out := row :: !out)
-                            (List.rev
-                               (try Hashtbl.find by_key k
-                                with Not_found -> []))
-                        else
-                          match Hashtbl.find_opt prev_by_key k with
-                          | Some row -> out := row :: !out
-                          | None -> ()
-                      end)
-                    cur
-                end;
-                Relation.make
-                  (Relation.schema prev_work)
-                  (Array.of_list (List.rev !out))
-              end)
-          | _ -> full_eval ()
-        in
-        if st.d_cutoff_streak >= delta_cutoff_streak_limit then begin
-          (* This loop updates (nearly) every key every iteration;
-             stop paying for the diff and re-evaluate in full from
-             here on. *)
-          st.d_prev_cte <- None;
-          st.d_prev_work <- None
-        end
-        else begin
-          st.d_prev_cte <- Some cur;
-          st.d_prev_work <- Some work
-        end;
-        stats.Stats.materializations <- stats.Stats.materializations + 1;
-        stats.Stats.rows_materialized <-
-          stats.Stats.rows_materialized + Relation.cardinality work;
-        step_rows := Relation.cardinality work;
-        Guards.check guards ~stats;
-        Catalog.set_temp catalog target work;
-        invalidate target)
-    | Program.Rename { from_; into } ->
-      Catalog.rename_temp catalog ~from_ ~into;
-      stats.Stats.renames <- stats.Stats.renames + 1;
-      invalidate from_;
-      invalidate into
-    | Program.Drop_temp name ->
-      Catalog.drop_temp catalog name;
-      invalidate name
-    | Program.Assert_unique_key { temp; key_idx } ->
-      assert_unique_key catalog ~temp ~key_idx
-    | Program.Init_loop { loop_id; termination; cte; key_idx; guard } ->
-      Hashtbl.replace loops loop_id
-        {
-          spec = termination;
-          cte;
-          key_idx;
-          guard;
-          iterations = 0;
-          cumulative_updates = 0;
-          snapshot = None;
-          iter_mark =
-            (match trace with
-            | None -> None
-            | Some _ -> Some (Unix.gettimeofday (), Stats.copy stats));
-          d_prev_cte = None;
-          d_prev_work = None;
-          d_cutoff_streak = 0;
-        }
-    | Program.Snapshot { loop_id } -> (
-      match Hashtbl.find_opt loops loop_id with
-      | None -> error "Snapshot for uninitialized loop %d" loop_id
-      | Some st -> st.snapshot <- Catalog.find_temp_opt catalog st.cte)
-    | Program.Loop_end { loop_id; body_start } -> (
-      match Hashtbl.find_opt loops loop_id with
-      | None -> error "Loop_end for uninitialized loop %d" loop_id
-      | Some st ->
-        Guards.check guards ~stats;
-        let continue_, delta =
-          loop_continue ~stats ~want_delta:(trace <> None) catalog st
-        in
-        (match trace, st.iter_mark with
-        | Some tr, Some (t0, s0) ->
-          let now = Unix.gettimeofday () in
-          let rows =
-            match Catalog.find_temp_opt catalog st.cte with
-            | Some rel -> Relation.cardinality rel
-            | None -> -1
-          in
-          let d = Option.value delta ~default:(-1) in
-          step_delta := d;
-          Trace.emit tr ~kind:Trace.Iteration ~label:st.cte ~loop_id
-            ~iteration:st.iterations ~rows ~delta:d
-            ~cum_updates:
-              (match st.spec with
-              | Program.Max_updates _ -> st.cumulative_updates
-              | _ -> -1)
-            ~wall_ms:((now -. t0) *. 1000.)
-            ~counters:(Stats.trace_counters ~since:s0 stats)
-            ();
-          if continue_ then st.iter_mark <- Some (now, Stats.copy stats)
-        | _ -> ());
-        if continue_ then jump := Some body_start)
-    | Program.Recursive_cte
-        { name; work_name; base; step_plan; union_all; max_recursion } ->
-      run_recursive ?parallel ?cache ?guards:gopt ~columnar ~stats catalog
-        ~name ~work_name ~base ~step_plan ~union_all ~max_recursion
-    | Program.Return plan ->
-      let rel =
-        run_plan ?parallel ?cache ?guards:gopt ~columnar ~stats catalog plan
-      in
-      step_rows := Relation.cardinality rel;
-      result := Some rel);
-    (match trace, step_mark with
-    | Some tr, Some (t0, s0) ->
-      Trace.emit tr ~kind:Trace.Step
-        ~label:(step_label steps.(!pc))
-        ~rows:!step_rows ~delta:!step_delta
-        ~wall_ms:((Unix.gettimeofday () -. t0) *. 1000.)
-        ~counters:(Stats.trace_counters ~since:s0 stats)
-        ()
-    | _ -> ());
-    match !jump with
-    | Some target -> pc := target
-    | None -> incr pc
-  done;
-  (match trace, prog_mark with
-  | Some tr, Some (t0, s0) ->
-    List.iter
-      (fun op ->
-        let i = Stats.op_index op in
-        let dt = stats.Stats.op_wall.(i) -. s0.Stats.op_wall.(i) in
-        if dt > 0.0 then
-          Trace.emit tr ~kind:Trace.Operator ~label:(Stats.op_name op)
-            ~wall_ms:(dt *. 1000.) ~counters:Trace.zero_counters ())
-      Stats.all_ops;
-    Trace.emit tr ~kind:Trace.Program ~label:"program"
-      ~rows:
-        (match !result with
-        | Some rel -> Relation.cardinality rel
-        | None -> -1)
-      ~wall_ms:((Unix.gettimeofday () -. t0) *. 1000.)
-      ~counters:(Stats.trace_counters ~since:s0 stats)
-      ()
-  | _ -> ());
-  match !result with
-  | Some rel -> rel
-  | None -> error "program terminated without a Return step"
+  {
+    Interp.eval = run_plan ?parallel ?cache ?guards:gopt ~columnar ~stats catalog;
+    find_temp = Catalog.find_temp_opt catalog;
+    set_temp =
+      (fun name rel ->
+        Catalog.set_temp catalog name rel;
+        invalidate name);
+    rename_temp =
+      (fun ~from_ ~into ->
+        Catalog.rename_temp catalog ~from_ ~into;
+        invalidate from_;
+        invalidate into);
+    drop_temp =
+      (fun name ->
+        Catalog.drop_temp catalog name;
+        invalidate name);
+    cardinality = Relation.cardinality;
+    gather = Fun.id;
+    scatter = Fun.id;
+    recursive_cte =
+      run_recursive ?parallel ?cache ?guards:gopt ~columnar ~stats catalog;
+    before_step = ignore;
+    loop_end = ignore;
+    recover = (fun _ -> Interp.Reraise);
+  }
+
+(** Run a step program to completion and return the final relation.
+    [guards] (wall-clock deadline, rows-materialized budget) are
+    checked at materialize and loop boundaries. [use_cache] enables the
+    per-run iteration-aware {!Cache}; results and logical stats are
+    identical either way. [trace] is handed to the interpreter, which
+    emits every span. *)
+let run_program ?parallel ?(stats = Stats.create ()) ?(guards = Guards.none)
+    ?use_cache ?columnar ?trace (catalog : Catalog.t) (program : Program.t) :
+    Relation.t =
+  Interp.run ~stats ~guards ?trace
+    (backend ?parallel ~guards ?use_cache ?columnar ~stats catalog)
+    program
 
 (** Loop-iteration count of the last loop in a program run — exposed
     for tests via running with an explicit [stats]. *)

@@ -8,6 +8,7 @@ module Catalog = Dbspinner_storage.Catalog
 module Logical = Dbspinner_plan.Logical
 module Program = Dbspinner_plan.Program
 
+(** The same exception as {!Interp.Execution_error}. *)
 exception Execution_error of string
 
 (** Evaluate one logical plan. Scans resolve through the catalog with
@@ -31,22 +32,30 @@ val run_plan :
   Logical.t ->
   Relation.t
 
-(** Consecutive large-delta cutoffs after which a delta-eligible loop
-    permanently falls back to full re-evaluation and stops diffing.
-    Purely data-driven, so the sequential and distributed executors
-    always agree. Shared with {!Dbspinner_mpp.Distributed}. *)
-val delta_cutoff_streak_limit : int
-
 (** The §II duplicate-row-key check: fails when the named temp has
     duplicate or NULL keys in column [key_idx].
     @raise Execution_error with a message directing the user to resolve
     duplicates via aggregation. *)
 val assert_unique_key : Catalog.t -> temp:string -> key_idx:int -> unit
 
-(** Run a step program to completion and return the final relation.
-    Temps created by the program are left in the catalog (the engine
-    clears them per statement). [guards] are checked at materialize and
-    loop boundaries, plus periodic in-operator probes every
+(** The single-node {!Interp.backend}: temps live in the catalog,
+    plans run through {!run_plan} with a fresh per-run {!Cache} when
+    [use_cache] (default true), gather and scatter are the identity,
+    and every exception propagates. *)
+val backend :
+  ?parallel:Parallel.ctx ->
+  ?guards:Guards.t ->
+  ?use_cache:bool ->
+  ?columnar:bool ->
+  stats:Stats.t ->
+  Catalog.t ->
+  Relation.t Interp.backend
+
+(** Run a step program to completion on {!Interp} with the single-node
+    {!backend} and return the final relation. Temps created by the
+    program are left in the catalog (the engine clears them per
+    statement). [guards] are checked at materialize and loop
+    boundaries, plus periodic in-operator probes every
     {!Guards.probe_interval} rows inside long operator loops.
 
     [Delta_materialize] steps run semi-naive (delta-driven) evaluation:
@@ -56,27 +65,19 @@ val assert_unique_key : Catalog.t -> temp:string -> key_idx:int -> unit
     output — producing a relation bit-identical to the full plan's.
     The first iteration (no previous version) and iterations where most
     keys changed fall back to the full plan ([Stats.full_reevals]).
-    @raise Execution_error on runtime failures, including the
-    iteration-guard trip for non-converging loops
-    @raise Guards.Resource_exhausted when a deadline or row budget is
-    crossed.
 
     [use_cache] (default true) enables a per-run iteration-aware
     {!Cache}: loop-invariant join builds and subquery digests are
     memoized under source generations, and expressions are closure-
-    compiled once per run. Results and logical stats are identical
-    either way; only wall time and the cache counters differ.
+    compiled once per run. [columnar] (default false) routes the hot
+    operators through the vectorized batch paths; see {!run_plan}.
+    Results and logical stats are identical either way.
 
-    [columnar] (default false) routes the hot operators through the
-    vectorized batch paths; see {!run_plan}. Results and logical stats
-    are identical to the row engine.
-
-    [trace], when given, records one {!Dbspinner_obs.Trace} span per
-    executed step, per loop iteration (with CTE cardinality, delta and
-    cumulative-update gauges — the convergence timeline), per operator
-    family with accrued wall time, and per program. Tracing does no
-    work at all when absent, and only pure reads when present, so
-    traced and untraced runs are [Stats.logical_equal]. *)
+    [trace] records the interpreter's spans; see {!Interp.run}.
+    @raise Execution_error on runtime failures, including the
+    iteration-guard trip for non-converging loops
+    @raise Guards.Resource_exhausted when a deadline or row budget is
+    crossed. *)
 val run_program :
   ?parallel:Parallel.ctx ->
   ?stats:Stats.t ->

@@ -12,14 +12,12 @@
     iteration-granular checkpoints, bounded retries and, as a last
     resort, falling back to single-node execution. *)
 
-module Value = Dbspinner_storage.Value
 module Row = Dbspinner_storage.Row
 module Schema = Dbspinner_storage.Schema
 module Relation = Dbspinner_storage.Relation
 module Catalog = Dbspinner_storage.Catalog
 module Logical = Dbspinner_plan.Logical
 module Bound_expr = Dbspinner_plan.Bound_expr
-module Eval = Dbspinner_exec.Eval
 module Operators = Dbspinner_exec.Operators
 module Cache = Dbspinner_exec.Cache
 module Stats = Dbspinner_exec.Stats
@@ -61,6 +59,11 @@ let repartition ~workers ~(shuffles : shuffle_stats) ~fault ~key (d : dist_rel)
         buckets;
   }
 
+(** [rel] on worker 0, nothing on the others. *)
+let on_worker0 ~workers rel =
+  let empty = Relation.empty (Relation.schema rel) in
+  { parts = Array.init workers (fun i -> if i = 0 then rel else empty) }
+
 let gather_to_one ~workers ~(shuffles : shuffle_stats) ~fault (d : dist_rel) :
     dist_rel =
   Fault.tick fault ~site:Fault.Gather;
@@ -71,9 +74,7 @@ let gather_to_one ~workers ~(shuffles : shuffle_stats) ~fault (d : dist_rel) :
         shuffles.rows_shuffled <-
           shuffles.rows_shuffled + Relation.cardinality part)
     d.parts;
-  let merged = Partition.merge d.parts in
-  let empty = Relation.empty (Relation.schema merged) in
-  { parts = Array.init workers (fun i -> if i = 0 then merged else empty) }
+  on_worker0 ~workers (Partition.merge d.parts)
 
 (** Run [f] on every partition concurrently across the Domain pool.
     [Fault.tick] runs once, coordinator-side, before dispatch (the
@@ -147,29 +148,20 @@ let combiner_aggs ~nkeys (aggs : Logical.agg list) : Logical.agg list =
 let run_aggregate ?cache ?(columnar = false) ~pool ~workers ~shuffles ~fault
     ~stats ~keys ~aggs ~agg_schema (d : dist_rel) : dist_rel =
   let nkeys = List.length keys in
+  let aggregate ~keys ~aggs st part =
+    Operators.aggregate ?cache ~columnar ~stats:st ~keys ~aggs part agg_schema
+  in
   if decomposable aggs then begin
-    let partial =
-      per_partition ~pool ~fault ~stats
-        (fun st part ->
-          Operators.aggregate ?cache ~columnar ~stats:st ~keys ~aggs part
-            agg_schema)
-        d
-    in
-    let final_keys = List.init nkeys (fun i -> Bound_expr.B_col i) in
-    let final_aggs = combiner_aggs ~nkeys aggs in
-    let combine st part =
-      Operators.aggregate ?cache ~columnar ~stats:st ~keys:final_keys
-        ~aggs:final_aggs part agg_schema
+    let partial = per_partition ~pool ~fault ~stats (aggregate ~keys ~aggs) d in
+    let combine =
+      aggregate
+        ~keys:(List.init nkeys (fun i -> Bound_expr.B_col i))
+        ~aggs:(combiner_aggs ~nkeys aggs)
     in
     if nkeys = 0 then begin
       (* One partial row per worker; combine on worker 0. *)
       let g = gather_to_one ~workers ~shuffles ~fault partial in
-      {
-        parts =
-          Array.init workers (fun i ->
-              if i = 0 then combine stats g.parts.(0)
-              else Relation.empty agg_schema);
-      }
+      on_worker0 ~workers (combine stats g.parts.(0))
     end
     else begin
       let partial =
@@ -183,53 +175,48 @@ let run_aggregate ?cache ?(columnar = false) ~pool ~workers ~shuffles ~fault
   else if nkeys = 0 then begin
     (* Non-decomposable global aggregate: gather raw rows. *)
     let g = gather_to_one ~workers ~shuffles ~fault d in
-    {
-      parts =
-        Array.init workers (fun i ->
-            if i = 0 then
-              Operators.aggregate ?cache ~columnar ~stats ~keys ~aggs
-                g.parts.(0) agg_schema
-            else Relation.empty agg_schema);
-    }
+    on_worker0 ~workers (aggregate ~keys ~aggs stats g.parts.(0))
   end
   else begin
-    let key_exprs = Array.of_list keys in
     let d =
       repartition ~workers ~shuffles ~fault
-        ~key:(key_fn ?cache ~stats key_exprs)
+        ~key:(key_fn ?cache ~stats (Array.of_list keys))
         d
     in
-    per_partition ~pool ~fault ~stats
-      (fun st part ->
-        Operators.aggregate ?cache ~columnar ~stats:st ~keys ~aggs part
-          agg_schema)
-      d
+    per_partition ~pool ~fault ~stats (aggregate ~keys ~aggs) d
   end
 
 let rec run ?temps ?cache ?(columnar = false) ~pool ~workers ~shuffles ~fault
     ~(stats : Stats.t) (catalog : Catalog.t) (plan : Logical.t) : dist_rel =
-  let run = run ?temps ?cache ~columnar ~pool ~fault in
+  let sub p =
+    run ?temps ?cache ~columnar ~pool ~workers ~shuffles ~fault ~stats catalog p
+  in
   (* Per-partition operator work fans out across the Domain pool;
      exchanges (repartition/gather) and fault ticks stay on the
      coordinator. *)
-  let on_partitions n f = Parallel.run_indexed pool ~stats n f in
+  let on_partitions f = Parallel.run_indexed pool ~stats workers f in
   let per_partition f d = per_partition ~pool ~fault ~stats f d in
-  let repartition ~workers ~shuffles ~key d =
-    repartition ~workers ~shuffles ~fault ~key d
+  let repartition ~key d = repartition ~workers ~shuffles ~fault ~key d in
+  let by_row d = repartition ~key:(fun row -> row) d in
+  let gather_to_one d = gather_to_one ~workers ~shuffles ~fault d in
+  (* Order-sensitive operators run on worker 0 after a gather. *)
+  let gathered input f = per_partition f (gather_to_one (sub input)) in
+  (* Set operators compare whole rows: co-locate equal rows first. *)
+  let set_op left right f =
+    let dl = sub left in
+    let dr = sub right in
+    let dl = by_row dl in
+    let dr = by_row dr in
+    { parts = on_partitions (fun st i -> f st dl.parts.(i) dr.parts.(i)) }
   in
-  let gather_to_one ~workers ~shuffles d =
-    gather_to_one ~workers ~shuffles ~fault d
+  let program_temp name =
+    Option.bind temps (fun t -> Hashtbl.find_opt t (String.lowercase_ascii name))
   in
   match plan with
-  | Logical.L_scan { name; _ }
-    when Option.is_some
-           (Option.bind temps (fun t ->
-                Hashtbl.find_opt t (String.lowercase_ascii name))) ->
+  | Logical.L_scan { name; _ } when Option.is_some (program_temp name) ->
     (* A temp materialized by this program: reuse its partitions as
        they sit on the workers — no exchange. *)
-    Option.get
-      (Option.bind temps (fun t ->
-           Hashtbl.find_opt t (String.lowercase_ascii name)))
+    Option.get (program_temp name)
   | Logical.L_scan _ | Logical.L_values _ ->
     let rel =
       Dbspinner_exec.Executor.run_plan ?cache ~columnar ~stats catalog plan
@@ -238,14 +225,14 @@ let rec run ?temps ?cache ?(columnar = false) ~pool ~workers ~shuffles ~fault
   | Logical.L_filter { pred; input } ->
     per_partition
       (fun st part -> Operators.filter ?cache ~columnar ~stats:st pred part)
-      (run ~workers ~shuffles ~stats catalog input)
+      (sub input)
   | Logical.L_project { exprs; input } ->
     per_partition
       (fun st part -> Operators.project ?cache ~columnar ~stats:st exprs part)
-      (run ~workers ~shuffles ~stats catalog input)
+      (sub input)
   | Logical.L_join { kind; cond; left; right; join_schema } -> (
-    let dl = run ~workers ~shuffles ~stats catalog left in
-    let dr = run ~workers ~shuffles ~stats catalog right in
+    let dl = sub left in
+    let dr = sub right in
     let left_arity = Schema.arity (Logical.schema left) in
     let equi =
       match cond with
@@ -255,92 +242,58 @@ let rec run ?temps ?cache ?(columnar = false) ~pool ~workers ~shuffles ~fault
     match equi with
     | [] ->
       (* No hashable key: gather both sides and join on one worker. *)
-      let dl = gather_to_one ~workers ~shuffles dl in
-      let dr = gather_to_one ~workers ~shuffles dr in
-      {
-        parts =
-          Array.init workers (fun i ->
-              if i = 0 then
-                Operators.join ?cache ~columnar ~stats kind cond dl.parts.(0)
-                  dr.parts.(0) join_schema
-              else Relation.empty join_schema);
-      }
+      let dl = gather_to_one dl in
+      let dr = gather_to_one dr in
+      on_worker0 ~workers
+        (Operators.join ?cache ~columnar ~stats kind cond dl.parts.(0)
+           dr.parts.(0) join_schema)
     | keys ->
       let lkeys = Array.of_list (List.map fst keys) in
       let rkeys = Array.of_list (List.map snd keys) in
-      let dl =
-        repartition ~workers ~shuffles ~key:(key_fn ?cache ~stats lkeys) dl
-      in
-      let dr =
-        repartition ~workers ~shuffles ~key:(key_fn ?cache ~stats rkeys) dr
-      in
+      let dl = repartition ~key:(key_fn ?cache ~stats lkeys) dl in
+      let dr = repartition ~key:(key_fn ?cache ~stats rkeys) dr in
       (* NULL-keyed rows of outer sides land on worker 0 on both sides,
          so outer padding stays correct per partition. *)
       {
         parts =
-          on_partitions workers (fun st i ->
+          on_partitions (fun st i ->
               Operators.join ?cache ~columnar ~stats:st kind cond dl.parts.(i)
                 dr.parts.(i) join_schema);
       })
   | Logical.L_aggregate { keys; aggs; input; agg_schema } ->
-    let d = run ~workers ~shuffles ~stats catalog input in
     run_aggregate ?cache ~columnar ~pool ~workers ~shuffles ~fault ~stats
-      ~keys ~aggs ~agg_schema d
+      ~keys ~aggs ~agg_schema (sub input)
   | Logical.L_distinct input ->
-    let d = run ~workers ~shuffles ~stats catalog input in
-    let d = repartition ~workers ~shuffles ~key:(fun row -> row) d in
-    per_partition (fun st part -> Operators.distinct ~stats:st part) d
+    per_partition
+      (fun st part -> Operators.distinct ~stats:st part)
+      (by_row (sub input))
   | Logical.L_sort { keys; input } ->
-    let d = run ~workers ~shuffles ~stats catalog input in
-    let d = gather_to_one ~workers ~shuffles d in
-    per_partition (fun st part -> Operators.sort ?cache ~stats:st keys part) d
+    gathered input (fun st part -> Operators.sort ?cache ~stats:st keys part)
   | Logical.L_limit (n, input) ->
-    let d = run ~workers ~shuffles ~stats catalog input in
-    let d = gather_to_one ~workers ~shuffles d in
-    per_partition (fun st part -> Operators.limit ~stats:st n part) d
+    gathered input (fun st part -> Operators.limit ~stats:st n part)
   | Logical.L_offset (n, input) ->
-    let d = run ~workers ~shuffles ~stats catalog input in
-    let d = gather_to_one ~workers ~shuffles d in
-    per_partition (fun st part -> Operators.offset ~stats:st n part) d
+    gathered input (fun st part -> Operators.offset ~stats:st n part)
   | Logical.L_intersect { all; left; right } ->
-    let dl = run ~workers ~shuffles ~stats catalog left in
-    let dr = run ~workers ~shuffles ~stats catalog right in
-    let dl = repartition ~workers ~shuffles ~key:(fun row -> row) dl in
-    let dr = repartition ~workers ~shuffles ~key:(fun row -> row) dr in
-    {
-      parts =
-        on_partitions workers (fun st i ->
-            Operators.intersect ~stats:st ~all dl.parts.(i) dr.parts.(i));
-    }
+    set_op left right (fun st -> Operators.intersect ~stats:st ~all)
   | Logical.L_except { all; left; right } ->
-    let dl = run ~workers ~shuffles ~stats catalog left in
-    let dr = run ~workers ~shuffles ~stats catalog right in
-    let dl = repartition ~workers ~shuffles ~key:(fun row -> row) dl in
-    let dr = repartition ~workers ~shuffles ~key:(fun row -> row) dr in
-    {
-      parts =
-        on_partitions workers (fun st i ->
-            Operators.except ~stats:st ~all dl.parts.(i) dr.parts.(i));
-    }
+    set_op left right (fun st -> Operators.except ~stats:st ~all)
   | Logical.L_union { all; left; right } ->
-    let dl = run ~workers ~shuffles ~stats catalog left in
-    let dr = run ~workers ~shuffles ~stats catalog right in
+    let dl = sub left in
+    let dr = sub right in
     let d =
       {
         parts =
-          on_partitions workers (fun st i ->
+          on_partitions (fun st i ->
               Operators.union_all ~stats:st dl.parts.(i) dr.parts.(i));
       }
     in
     if all then d
-    else begin
-      let d = repartition ~workers ~shuffles ~key:(fun row -> row) d in
-      per_partition (fun st part -> Operators.distinct ~stats:st part) d
-    end
-  | Logical.L_subquery_filter { anti; key; input; sub } ->
+    else
+      per_partition (fun st part -> Operators.distinct ~stats:st part) (by_row d)
+  | Logical.L_subquery_filter { anti; key; input; sub = sq } ->
     (* Broadcast the (gathered) subquery result to every worker. *)
-    let di = run ~workers ~shuffles ~stats catalog input in
-    let dsub = run ~workers ~shuffles ~stats catalog sub in
+    let di = sub input in
+    let dsub = sub sq in
     Fault.tick fault ~site:Fault.Broadcast;
     let gathered = gather dsub in
     shuffles.exchanges <- shuffles.exchanges + 1;
@@ -371,95 +324,28 @@ let run_plan ?(workers = 4) ?pool ?(fault = Fault.none) ?(use_cache = true)
 (* Distributed step programs                                           *)
 
 module Program = Dbspinner_plan.Program
-module Trace = Dbspinner_obs.Trace
+module Interp = Dbspinner_exec.Interp
 
 exception Unsupported of string
 
-type loop_state = {
-  spec : Program.termination;
-  cte : string;
-  key_idx : int;
-  guard : int;
-  mutable iterations : int;
-  mutable cumulative_updates : int;
-  mutable snapshot : Relation.t option;
-  mutable iter_mark : (float * Stats.t) option;
-      (** tracing only: wall clock and stats snapshot at the start of
-          the current iteration. [None] when tracing is off. *)
-  mutable d_prev_cte : Relation.t option;
-      (** semi-naive only: gathered CTE version consumed by the previous
-          iteration's [Delta_materialize] (see the single-node
-          executor's loop state). *)
-  mutable d_prev_work : Relation.t option;
-      (** semi-naive only: the previous iteration's gathered work
-          output, reused for unaffected keys when stitching. *)
-  mutable d_cutoff_streak : int;
-      (** consecutive large-delta cutoffs; at the single-node
-          executor's streak limit the loop stops diffing (see
-          {!Dbspinner_exec.Executor}). *)
-}
-
-let copy_loop_state (st : loop_state) : loop_state =
-  {
-    spec = st.spec;
-    cte = st.cte;
-    key_idx = st.key_idx;
-    guard = st.guard;
-    iterations = st.iterations;
-    cumulative_updates = st.cumulative_updates;
-    snapshot = st.snapshot;
-    (* The snapshot pair is never mutated after creation, so checkpoint
-       copies may share it. After a restore, the restored mark predates
-       the fault — the retried iteration's span then absorbs the
-       fault/retry counters, which is exactly what the timeline should
-       show. *)
-    iter_mark = st.iter_mark;
-    (* Relations are immutable; the delta baselines are only rebound at
-       the end of a successful Delta_materialize, so checkpoint copies
-       may share them too. *)
-    d_prev_cte = st.d_prev_cte;
-    d_prev_work = st.d_prev_work;
-    d_cutoff_streak = st.d_cutoff_streak;
-  }
-
-(** A restart point: the program counter to resume at plus copies of
-    the partitioned temps and loop counters. Relations are immutable,
-    so checkpoints are O(temps + loops) pointer copies — the "cheap
-    checkpoint" SciDB-style iteration-granular recovery relies on. *)
+(** A restart point: the interpreter's pc and loop states plus a copy
+    of the partitioned temps. Relations are immutable, so checkpoints
+    are O(temps + loops) pointer copies — the "cheap checkpoint"
+    SciDB-style iteration-granular recovery relies on. *)
 type checkpoint = {
-  ck_pc : int;
+  ck_interp : Interp.checkpoint;
   ck_temps : (string, dist_rel) Hashtbl.t;
-  ck_loops : (int * loop_state) list;
   ck_in_loop : bool;
       (** true for checkpoints taken at a [Loop_end] (a restore from
           one counts as a recovery, not a from-scratch restart) *)
 }
 
-(** Run [program] single-node as the graceful-degradation path after
-    [max_retries] consecutive transient faults. The catalog's temp
-    namespace is restored afterwards so callers see no leftover temps
-    from the fallback execution. *)
-let fallback_single_node ~stats ~guards ~columnar ?trace
-    (catalog : Catalog.t) (program : Program.t) : Relation.t =
-  stats.Stats.fallbacks <- stats.Stats.fallbacks + 1;
-  let saved =
-    List.map
-      (fun n -> (n, Catalog.find_temp catalog n))
-      (Catalog.temp_names catalog)
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Catalog.clear_temps catalog;
-      List.iter (fun (n, r) -> Catalog.set_temp catalog n r) saved)
-    (fun () ->
-      Dbspinner_exec.Executor.run_program ~stats ~guards ~columnar ?trace
-        catalog program)
-
-(** Execute a whole step program with every plan running distributed.
-    Materialized temps stay {e partitioned on the workers} between
-    steps (so the loop body's scans of the CTE table cost no exchange),
-    and [Rename] is a pointer swap of partition sets. Termination
-    checks beyond fixed iteration counts gather the CTE to the
+(** Execute a whole step program on the shared interpreter with every
+    plan running distributed. Materialized temps stay {e partitioned on
+    the workers} between steps (so the loop body's scans of the CTE
+    table cost no exchange), and [Rename] is a pointer swap of
+    partition sets. Whatever the interpreter reads itself (termination
+    checks, the delta diff and stitch, key checks) is gathered to the
     coordinator; those reads are not counted as shuffles.
 
     Fault tolerance: when [fault] injects a {!Fault.Transient_fault},
@@ -467,10 +353,11 @@ let fallback_single_node ~stats ~guards ~columnar ?trace
     start and after every [Loop_end] — retrying up to [max_retries]
     consecutive times with deterministic exponential backoff accounting
     (recorded in [stats], not slept). Once retries are exhausted the
-    program degrades gracefully to single-node execution
-    ([stats.fallbacks]) instead of failing the query. [guards] are
-    checked at materialize and loop boundaries; {!Guards.Resource_exhausted}
-    is not retried (resource exhaustion is not transient).
+    program reruns on the single-node backend ([stats.fallbacks])
+    instead of failing the query; the catalog's temp namespace is
+    restored afterwards so callers see no leftover temps.
+    {!Guards.Resource_exhausted} is not retried (resource exhaustion is
+    not transient).
 
     @raise Unsupported for programs containing recursive CTEs. *)
 let run_program ?(workers = 4) ?pool ?(fault = Fault.none) ?(max_retries = 3)
@@ -488,470 +375,98 @@ let run_program ?(workers = 4) ?pool ?(fault = Fault.none) ?(max_retries = 3)
   let cache = if use_cache then Some (Cache.create ()) else None in
   let shuffles = { rows_shuffled = 0; exchanges = 0 } in
   let temps : (string, dist_rel) Hashtbl.t = Hashtbl.create 8 in
-  let key n = String.lowercase_ascii n in
-  let find_temp name =
-    match Hashtbl.find_opt temps (key name) with
-    | Some d -> d
-    | None -> raise (Unsupported (Printf.sprintf "temp %s not materialized" name))
+  let key = String.lowercase_ascii in
+  let scatter rel = { parts = Partition.round_robin ~workers rel } in
+  let last_checkpoint =
+    ref
+      {
+        ck_interp = Interp.start;
+        ck_temps = Hashtbl.create 1;
+        ck_in_loop = false;
+      }
   in
-  let loops : (int, loop_state) Hashtbl.t = Hashtbl.create 4 in
-  let steps = Program.steps program in
-  let result = ref None in
-  let pc = ref 0 in
-  let take_checkpoint ~in_loop next_pc =
-    {
-      ck_pc = next_pc;
-      ck_temps = Hashtbl.copy temps;
-      ck_loops =
-        Hashtbl.fold (fun id st acc -> (id, copy_loop_state st) :: acc) loops [];
-      ck_in_loop = in_loop;
-    }
-  in
-  let restore ck =
-    Hashtbl.reset temps;
-    Hashtbl.iter (fun k v -> Hashtbl.replace temps k v) ck.ck_temps;
-    Hashtbl.reset loops;
-    List.iter
-      (fun (id, st) -> Hashtbl.replace loops id (copy_loop_state st))
-      ck.ck_loops;
-    pc := ck.ck_pc
-  in
-  let last_checkpoint = ref (take_checkpoint ~in_loop:false 0) in
   (* Consecutive failed attempts since the last successful checkpoint. *)
   let attempts = ref 0 in
-  let prog_mark =
-    match trace with
-    | None -> None
-    | Some _ -> Some (Unix.gettimeofday (), Stats.copy stats)
-  in
-  let step_label step =
-    match step with
-    | Program.Materialize { target; _ } -> "materialize:" ^ target
-    | Program.Delta_materialize { target; _ } -> "delta_materialize:" ^ target
-    | Program.Rename { from_; into } -> "rename:" ^ from_ ^ "->" ^ into
-    | Program.Drop_temp name -> "drop:" ^ name
-    | Program.Assert_unique_key { temp; _ } -> "assert_unique:" ^ temp
-    | Program.Init_loop { cte; _ } -> "init_loop:" ^ cte
-    | Program.Snapshot { loop_id } -> Printf.sprintf "snapshot:%d" loop_id
-    | Program.Loop_end { loop_id; _ } -> Printf.sprintf "loop_end:%d" loop_id
-    | Program.Recursive_cte { name; _ } -> "recursive_cte:" ^ name
-    | Program.Return _ -> "return"
-  in
-  (* Gauges the current step wants attached to its Step span. *)
-  let step_rows = ref (-1) in
-  let step_delta = ref (-1) in
-  let exec_step step =
-    let jump = ref None in
-    (match step with
-    | Program.Materialize { target; plan } ->
-      let d =
-        run ~temps ?cache ~columnar ~pool ~workers ~shuffles ~fault ~stats
-          catalog plan
-      in
-      stats.Stats.materializations <- stats.Stats.materializations + 1;
-      stats.Stats.rows_materialized <-
-        stats.Stats.rows_materialized + Partition.total_cardinality d.parts;
-      step_rows := Partition.total_cardinality d.parts;
-      Guards.check guards ~stats;
-      Hashtbl.replace temps (key target) d
-    | Program.Delta_materialize
-        {
-          loop_id;
-          target;
-          cte;
-          key_idx;
-          full_plan;
-          restricted_plan;
-          affected_plans;
-          delta_name;
-          affected_name;
-        } ->
-      (* Coordinator-side semi-naive evaluation: gather the CTE, diff
-         against the previous version, and restrict the distributed
-         re-evaluation to affected keys. The diff and stitch run on the
-         coordinator (they are cheap hash passes); the affected and
-         restricted plans run distributed, with the delta and
-         affected-key temps partitioned onto the workers like any
-         materialized temp. Mirrors the single-node executor's
-         [Delta_materialize]; the result is bag-identical to running
-         the full plan. *)
-      let st =
-        match Hashtbl.find_opt loops loop_id with
-        | Some st -> st
-        | None ->
-          raise (Unsupported "Delta_materialize for uninitialized loop")
-      in
-      let cur = gather (find_temp cte) in
-      let dist_eval plan =
-        gather
-          (run ~temps ?cache ~columnar ~pool ~workers ~shuffles ~fault ~stats
-             catalog plan)
-      in
-      let full_eval () =
-        stats.Stats.full_reevals <- stats.Stats.full_reevals + 1;
-        dist_eval full_plan
-      in
-      let work =
-        match st.d_prev_cte, st.d_prev_work with
-        | Some prev, Some prev_work -> (
-          (* Bounded diff: once the distinct-changed-key count reaches
-             half the CTE (the large-delta cutoff), the probe returns
-             [None] without materializing the delta at all — same
-             decision as the unbounded diff followed by the cutoff
-             check, minus the wasted relation build. *)
-          let cutoff = max 1 ((Relation.cardinality cur + 1) / 2) in
-          match Relation.changed_rows_bounded ~key_idx ~cutoff prev cur with
-          | None ->
-            st.d_cutoff_streak <- st.d_cutoff_streak + 1;
-            full_eval ()
-          | Some delta ->
-            if Relation.cardinality delta = 0 then begin
-              st.d_cutoff_streak <- 0;
-              prev_work
-            end
-            else begin
-              let changed_keys = Hashtbl.create 64 in
-              Relation.iter
-                (fun r -> Hashtbl.replace changed_keys r.(key_idx) ())
-                delta;
-              st.d_cutoff_streak <- 0;
-              Hashtbl.replace temps (key delta_name)
-                { parts = Partition.round_robin ~workers delta };
-              let affected = Hashtbl.create 64 in
-              Hashtbl.iter
-                (fun k () -> Hashtbl.replace affected k ())
-                changed_keys;
-              List.iter
-                (fun p ->
-                  Relation.iter
-                    (fun r -> Hashtbl.replace affected r.(0) ())
-                    (dist_eval p))
-                affected_plans;
-              let a_rows =
-                Hashtbl.fold (fun k () acc -> [| k |] :: acc) affected []
-              in
-              Hashtbl.replace temps (key affected_name)
-                {
-                  parts =
-                    Partition.round_robin ~workers
-                      (Relation.make
-                         (Schema.of_names [ "key" ])
-                         (Array.of_list a_rows));
-                };
-              let restricted = dist_eval restricted_plan in
-              stats.Stats.delta_rows_evaluated <-
-                stats.Stats.delta_rows_evaluated
-                + Relation.cardinality restricted;
-              let by_key : (Value.t, Row.t list) Hashtbl.t =
-                Hashtbl.create 64
-              in
-              Relation.iter
-                (fun r ->
-                  let k = r.(key_idx) in
-                  let rest = try Hashtbl.find by_key k with Not_found -> [] in
-                  Hashtbl.replace by_key k (r :: rest))
-                restricted;
-              let out = ref [] in
-              let cur_rows = Relation.rows cur in
-              let prev_rows = Relation.rows prev_work in
-              let n_cur = Array.length cur_rows in
-              (* Same positional fast path as the single-node stitch:
-                 stable, duplicate-free key sequences copy unaffected
-                 rows by index. *)
-              let aligned =
-                Array.length prev_rows = n_cur
-                &&
-                let ok = ref true in
-                let i = ref 0 in
-                while !ok && !i < n_cur do
-                  if
-                    not
-                      (Value.equal
-                         cur_rows.(!i).(key_idx)
-                         prev_rows.(!i).(key_idx))
-                  then ok := false;
-                  incr i
-                done;
-                !ok
-              in
-              if aligned then
-                for i = 0 to n_cur - 1 do
-                  let k = cur_rows.(i).(key_idx) in
-                  if Hashtbl.mem affected k then
-                    List.iter
-                      (fun row -> out := row :: !out)
-                      (List.rev
-                         (try Hashtbl.find by_key k with Not_found -> []))
-                  else out := prev_rows.(i) :: !out
-                done
-              else begin
-                let prev_by_key = Hashtbl.create 64 in
-                Relation.iter
-                  (fun r ->
-                    if not (Hashtbl.mem prev_by_key r.(key_idx)) then
-                      Hashtbl.replace prev_by_key r.(key_idx) r)
-                  prev_work;
-                let seen_keys = Hashtbl.create (Relation.cardinality cur) in
-                Relation.iter
-                  (fun r ->
-                    let k = r.(key_idx) in
-                    if not (Hashtbl.mem seen_keys k) then begin
-                      Hashtbl.replace seen_keys k ();
-                      if Hashtbl.mem affected k then
-                        List.iter
-                          (fun row -> out := row :: !out)
-                          (List.rev
-                             (try Hashtbl.find by_key k with Not_found -> []))
-                      else
-                        match Hashtbl.find_opt prev_by_key k with
-                        | Some row -> out := row :: !out
-                        | None -> ()
-                    end)
-                  cur
-              end;
-              Relation.make
-                (Relation.schema prev_work)
-                (Array.of_list (List.rev !out))
-            end)
-        | _ -> full_eval ()
-      in
-      (* Rebind the baselines only after every fault-prone evaluation
-         has completed: a transient fault above restores the
-         checkpoint's loop state, which still holds the pre-iteration
-         baselines. *)
-      if st.d_cutoff_streak >= Dbspinner_exec.Executor.delta_cutoff_streak_limit
-      then begin
-        st.d_prev_cte <- None;
-        st.d_prev_work <- None
-      end
-      else begin
-        st.d_prev_cte <- Some cur;
-        st.d_prev_work <- Some work
-      end;
-      stats.Stats.materializations <- stats.Stats.materializations + 1;
-      stats.Stats.rows_materialized <-
-        stats.Stats.rows_materialized + Relation.cardinality work;
-      step_rows := Relation.cardinality work;
-      Guards.check guards ~stats;
-      Hashtbl.replace temps (key target)
-        { parts = Partition.round_robin ~workers work }
-    | Program.Rename { from_; into } ->
-      let d = find_temp from_ in
-      Hashtbl.remove temps (key from_);
-      Hashtbl.replace temps (key into) d;
-      stats.Stats.renames <- stats.Stats.renames + 1
-    | Program.Drop_temp name -> Hashtbl.remove temps (key name)
-    | Program.Assert_unique_key { temp; key_idx } ->
-      (* Coordinator-side key check: only keys travel, not counted. *)
-      let seen = Hashtbl.create 64 in
-      Array.iter
-        (fun part ->
-          Relation.iter
-            (fun row ->
-              let k = row.(key_idx) in
-              if Value.is_null k then
-                raise
-                  (Dbspinner_exec.Executor.Execution_error
-                     "iterative CTE produced a NULL row key")
-              else if Hashtbl.mem seen k then
-                raise
-                  (Dbspinner_exec.Executor.Execution_error
-                     (Printf.sprintf
-                        "iterative CTE produced duplicate rows for key %s"
-                        (Value.to_string k)))
-              else Hashtbl.replace seen k ())
-            part)
-        (find_temp temp).parts
-    | Program.Init_loop { loop_id; termination; cte; key_idx; guard } ->
-      Hashtbl.replace loops loop_id
-        {
-          spec = termination;
-          cte;
-          key_idx;
-          guard;
-          iterations = 0;
-          cumulative_updates = 0;
-          snapshot = None;
-          iter_mark =
-            (match trace with
-            | None -> None
-            | Some _ -> Some (Unix.gettimeofday (), Stats.copy stats));
-          d_prev_cte = None;
-          d_prev_work = None;
-          d_cutoff_streak = 0;
-        }
-    | Program.Snapshot { loop_id } -> (
-      match Hashtbl.find_opt loops loop_id with
-      | None -> raise (Unsupported "snapshot for uninitialized loop")
-      | Some st -> (
-        match st.spec with
-        | Program.Max_iterations _ when trace = None ->
-          (* Fixed iteration counts never need the previous version —
-             skip the gather. With tracing on, gather anyway so the
-             timeline reports true deltas; [gather] is a pure
-             partition merge (no fault ticks, no shuffle counting), so
-             logical stats are unchanged. *)
-          ()
-        | Program.Max_iterations _ | Program.Max_updates _
-        | Program.Delta_at_most _ | Program.Data _ ->
-          st.snapshot <-
-            Option.map gather (Hashtbl.find_opt temps (key st.cte))))
-    | Program.Loop_end { loop_id; body_start } ->
-      let st = Hashtbl.find loops loop_id in
-      st.iterations <- st.iterations + 1;
-      stats.Stats.loop_iterations <- stats.Stats.loop_iterations + 1;
-      Guards.check guards ~stats;
-      let current () = gather (find_temp st.cte) in
-      (* Same first-iteration semantics as Executor.loop_continue:
-         without a snapshot, the full CTE cardinality counts as the
-         delta. Lazy so forcing it for the trace stays pure. *)
-      let updates =
-        lazy
-          (match st.snapshot with
-          | None -> Relation.cardinality (current ())
-          | Some prev ->
-            Relation.delta_count ~key_idx:st.key_idx prev (current ()))
-      in
-      let continue_ =
-        match st.spec with
-        | Program.Max_iterations n -> st.iterations < n
-        | Program.Max_updates n ->
-          st.cumulative_updates <- st.cumulative_updates + Lazy.force updates;
-          st.cumulative_updates < n
-        | Program.Delta_at_most bound -> Lazy.force updates > bound
-        | Program.Data { any; pred } ->
-          let rel = current () in
-          let satisfied = ref 0 in
-          Relation.iter
-            (fun r -> if Dbspinner_exec.Eval.eval_pred r pred then incr satisfied)
-            rel;
-          (* ALL over an empty relation is vacuously true — same fix
-             as the single-node executor. *)
-          let stop =
-            if any then !satisfied > 0
-            else !satisfied = Relation.cardinality rel
-          in
-          not stop
-      in
-      (* The guard trips only when another iteration would actually
-         run: termination firing exactly on the guard iteration
-         returns normally. *)
-      if continue_ && st.iterations >= st.guard then
-        raise
-          (Dbspinner_exec.Executor.Execution_error
-             "distributed loop exceeded its iteration guard");
-      (match trace, st.iter_mark with
-      | Some tr, Some (t0, s0) ->
-        let now = Unix.gettimeofday () in
-        let rows =
-          match Hashtbl.find_opt temps (key st.cte) with
-          | Some d -> Partition.total_cardinality d.parts
-          | None -> -1
-        in
-        step_rows := rows;
-        step_delta := Lazy.force updates;
-        Trace.emit tr ~kind:Trace.Iteration ~label:st.cte ~loop_id
-          ~iteration:st.iterations ~rows ~delta:(Lazy.force updates)
-          ~cum_updates:
-            (match st.spec with
-            | Program.Max_updates _ -> st.cumulative_updates
-            | _ -> -1)
-          ~wall_ms:((now -. t0) *. 1000.)
-          ~counters:(Stats.trace_counters ~since:s0 stats)
-          ();
-        if continue_ then st.iter_mark <- Some (now, Stats.copy stats)
-      | _ -> ());
-      if continue_ then jump := Some body_start;
-      (* Iteration-granular checkpoint: the completed iteration's CTE
-         partitions and loop counters become the new restart point.
-         Taken after the trace mark refresh so a restore's retried
-         iteration diffs against a pre-fault baseline. *)
-      let next_pc = match !jump with Some t -> t | None -> !pc + 1 in
-      last_checkpoint := take_checkpoint ~in_loop:true next_pc;
-      stats.Stats.checkpoints_taken <- stats.Stats.checkpoints_taken + 1;
-      attempts := 0
-    | Program.Recursive_cte _ ->
-      raise (Unsupported "recursive CTEs in distributed programs")
-    | Program.Return plan ->
-      let rel =
-        gather
-          (run ~temps ?cache ~columnar ~pool ~workers ~shuffles ~fault ~stats
-             catalog plan)
-      in
-      step_rows := Relation.cardinality rel;
-      result := Some rel);
-    !jump
-  in
-  while !pc < Array.length steps do
-    let iteration =
-      Hashtbl.fold (fun _ st acc -> max acc st.iterations) loops 0
-    in
-    Fault.set_context fault ~step:!pc ~iteration;
-    step_rows := -1;
-    step_delta := -1;
-    let step_mark =
-      match trace with
-      | None -> None
-      | Some _ -> Some (Unix.gettimeofday (), Stats.copy stats)
-    in
-    match exec_step steps.(!pc) with
-    | jump -> (
-      (match trace, step_mark with
-      | Some tr, Some (t0, s0) ->
-        Trace.emit tr ~kind:Trace.Step
-          ~label:(step_label steps.(!pc))
-          ~rows:!step_rows ~delta:!step_delta
-          ~wall_ms:((Unix.gettimeofday () -. t0) *. 1000.)
-          ~counters:(Stats.trace_counters ~since:s0 stats)
-          ()
-      | _ -> ());
-      match jump with
-      | Some target -> pc := target
-      | None -> incr pc)
-    | exception Fault.Transient_fault _ ->
-      (* No Step span for a faulted attempt: the retried execution
-         emits the span for the work that actually completed. *)
+  let saved_temps = ref None in
+  let recover = function
+    | Fault.Transient_fault _ when !attempts >= max_retries ->
+      (* Retry budget exhausted: degrade gracefully to single-node
+         execution instead of failing the query. The single-node rerun
+         writes its temps into the catalog; they are put back below. *)
       stats.Stats.faults_injected <- stats.Stats.faults_injected + 1;
-      if !attempts >= max_retries then begin
-        (* Retry budget exhausted: degrade gracefully to single-node
-           execution instead of failing the query. *)
-        result :=
-          Some
-            (fallback_single_node ~stats ~guards ~columnar ?trace catalog
-               program);
-        pc := Array.length steps
-      end
-      else begin
-        incr attempts;
-        stats.Stats.retries <- stats.Stats.retries + 1;
-        (* Deterministic exponential backoff, accounted not slept:
-           1, 2, 4, ... units per consecutive failure. *)
-        stats.Stats.backoff_steps <-
-          stats.Stats.backoff_steps + (1 lsl min (!attempts - 1) 16);
-        if !last_checkpoint.ck_in_loop then
-          stats.Stats.recoveries <- stats.Stats.recoveries + 1;
-        restore !last_checkpoint
-      end
-  done;
-  (match trace, prog_mark with
-  | Some tr, Some (t0, s0) ->
-    List.iter
-      (fun op ->
-        let i = Stats.op_index op in
-        let dt = stats.Stats.op_wall.(i) -. s0.Stats.op_wall.(i) in
-        if dt > 0.0 then
-          Trace.emit tr ~kind:Trace.Operator ~label:(Stats.op_name op)
-            ~wall_ms:(dt *. 1000.) ~counters:Trace.zero_counters ())
-      Stats.all_ops;
-    Trace.emit tr ~kind:Trace.Program ~label:"program"
-      ~rows:
-        (match !result with
-        | Some rel -> Relation.cardinality rel
-        | None -> -1)
-      ~wall_ms:((Unix.gettimeofday () -. t0) *. 1000.)
-      ~counters:(Stats.trace_counters ~since:s0 stats)
-      ()
-  | _ -> ());
-  match !result with
-  | Some rel -> (rel, shuffles)
-  | None -> raise (Unsupported "program without Return")
+      stats.Stats.fallbacks <- stats.Stats.fallbacks + 1;
+      saved_temps :=
+        Some
+          (List.map
+             (fun n -> (n, Catalog.find_temp catalog n))
+             (Catalog.temp_names catalog));
+      Interp.Rerun
+        (Dbspinner_exec.Executor.backend ~guards ~columnar ~stats catalog)
+    | Fault.Transient_fault _ ->
+      stats.Stats.faults_injected <- stats.Stats.faults_injected + 1;
+      stats.Stats.retries <- stats.Stats.retries + 1;
+      incr attempts;
+      (* Deterministic exponential backoff, accounted not slept: 1, 2,
+         4, ... units per consecutive failure. *)
+      stats.Stats.backoff_steps <-
+        stats.Stats.backoff_steps + (1 lsl min (!attempts - 1) 16);
+      let ck = !last_checkpoint in
+      if ck.ck_in_loop then stats.Stats.recoveries <- stats.Stats.recoveries + 1;
+      Hashtbl.reset temps;
+      Hashtbl.iter (Hashtbl.replace temps) ck.ck_temps;
+      Interp.Resume ck.ck_interp
+    | _ -> Interp.Reraise
+  in
+  let backend =
+    {
+      Interp.eval =
+        run ~temps ?cache ~columnar ~pool ~workers ~shuffles ~fault ~stats
+          catalog;
+      find_temp = (fun name -> Hashtbl.find_opt temps (key name));
+      set_temp = (fun name d -> Hashtbl.replace temps (key name) d);
+      rename_temp =
+        (fun ~from_ ~into ->
+          match Hashtbl.find_opt temps (key from_) with
+          | None -> raise (Catalog.Unknown_table from_)
+          | Some d ->
+            Hashtbl.remove temps (key from_);
+            Hashtbl.replace temps (key into) d);
+      drop_temp = (fun name -> Hashtbl.remove temps (key name));
+      cardinality = (fun d -> Partition.total_cardinality d.parts);
+      gather;
+      scatter;
+      recursive_cte =
+        (fun ~name:_ ~work_name:_ ~base:_ ~step_plan:_ ~union_all:_
+             ~max_recursion:_ ->
+          raise (Unsupported "recursive CTEs in distributed programs"));
+      before_step =
+        (fun m ->
+          Fault.set_context fault ~step:(Interp.pc m)
+            ~iteration:(Interp.iteration m));
+      loop_end =
+        (fun m ->
+          (* Iteration-granular checkpoint: the completed iteration's
+             CTE partitions and loop states become the restart point. *)
+          last_checkpoint :=
+            {
+              ck_interp = Interp.checkpoint m;
+              ck_temps = Hashtbl.copy temps;
+              ck_in_loop = true;
+            };
+          stats.Stats.checkpoints_taken <- stats.Stats.checkpoints_taken + 1;
+          attempts := 0);
+      recover;
+    }
+  in
+  let restore_catalog () =
+    Option.iter
+      (fun saved ->
+        Catalog.clear_temps catalog;
+        List.iter (fun (n, r) -> Catalog.set_temp catalog n r) saved)
+      !saved_temps
+  in
+  let rel =
+    Fun.protect ~finally:restore_catalog (fun () ->
+        Interp.run ~stats ~guards ?trace backend program)
+  in
+  (rel, shuffles)

@@ -203,6 +203,17 @@ let delta_count ~key_idx (prev : t) (next : t) =
     !changed + (cardinality prev - !seen)
   end
 
+(* Positionally aligned versions: new-then-old rows of every differing
+   position, in key order. *)
+let changed_aligned (prev : t) (next : t) =
+  let prev_rows = rows prev and next_rows = rows next in
+  let out = ref [] in
+  for i = cardinality next - 1 downto 0 do
+    let old = prev_rows.(i) and r = next_rows.(i) in
+    if not (Row.equal old r) then out := r :: old :: !out
+  done;
+  make_trusted next.schema (Array.of_list !out)
+
 (** The rows behind {!delta_count}: every [next] row whose key is new or
     whose payload differs from [prev], plus the {e previous} version of
     changed and vanished keys. Returning both versions lets semi-naive
@@ -214,16 +225,7 @@ let changed_rows ~key_idx (prev : t) (next : t) =
      the same positions the diff is a single lockstep walk with no
      hashing — this runs once per iteration over the whole CTE, so its
      constant matters. *)
-  let n = cardinality next in
-  if keys_aligned ~key_idx prev next then begin
-    let prev_rows = rows prev and next_rows = rows next in
-    let out = ref [] in
-    for i = n - 1 downto 0 do
-      let old = prev_rows.(i) and r = next_rows.(i) in
-      if not (Row.equal old r) then out := r :: old :: !out
-    done;
-    make_trusted next.schema (Array.of_list !out)
-  end
+  if keys_aligned ~key_idx prev next then changed_aligned prev next
   else begin
     let index = Hashtbl.create (cardinality prev) in
     Array.iter (fun r -> Hashtbl.replace index r.(key_idx) r) (rows prev);
@@ -264,16 +266,7 @@ let changed_rows_bounded ~key_idx ~cutoff (prev : t) (next : t) =
       if not (eq !i) then incr changed;
       incr i
     done;
-    if !changed >= cutoff then None
-    else begin
-      let prev_rows = rows prev and next_rows = rows next in
-      let out = ref [] in
-      for i = n - 1 downto 0 do
-        let old = prev_rows.(i) and r = next_rows.(i) in
-        if not (Row.equal old r) then out := r :: old :: !out
-      done;
-      Some (make_trusted next.schema (Array.of_list !out))
-    end
+    if !changed >= cutoff then None else Some (changed_aligned prev next)
   end
   else begin
     (* Mirror the hashed path of {!changed_rows}, counting distinct

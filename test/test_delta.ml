@@ -19,6 +19,7 @@ module Stats = Dbspinner_exec.Stats
 module Executor = Dbspinner_exec.Executor
 module Parallel = Dbspinner_exec.Parallel
 module Distributed = Dbspinner_mpp.Distributed
+module Fault = Dbspinner_mpp.Fault
 module Trace = Dbspinner_obs.Trace
 module Graph_gen = Dbspinner_graph.Graph_gen
 module Loader = Dbspinner_workload.Loader
@@ -334,7 +335,44 @@ let prop_delta_on_off =
            QCheck2.Test.fail_reportf
              "ineligible program broke logical_equal:\n%s\nvs\n%s"
              (Stats.to_string s_on) (Stats.to_string s_off)
-         else true))
+         else begin
+           (* Faulted distributed leg: recoveries restore the loop state,
+              delta baselines included, from a checkpoint. Two faults
+              stay within the default retry budget, so every fault is
+              recovered in place rather than by the single-node rerun
+              (which would count the completed iterations again). *)
+           let fault =
+             Fault.probabilistic ~max_faults:2
+               ~seed:(rounds + (17 * List.length rows))
+               ~probability:0.2 ()
+           in
+           let s_dist = Stats.create () in
+           Catalog.clear_temps (Engine.catalog e);
+           let r_dist, _ =
+             Distributed.run_program ~workers:3 ~fault ~stats:s_dist
+               (Engine.catalog e) p_on
+           in
+           Catalog.clear_temps (Engine.catalog e);
+           if not (Relation.equal_bag r_on r_dist) then
+             QCheck2.Test.fail_reportf
+               "faulted distributed rows differ:\n%s\nvs\n%s"
+               (Relation.to_table_string r_on)
+               (Relation.to_table_string r_dist)
+           else if s_dist.Stats.loop_iterations <> s_on.Stats.loop_iterations
+           then
+             QCheck2.Test.fail_reportf
+               "faulted distributed iterations differ: %d vs %d"
+               s_dist.Stats.loop_iterations s_on.Stats.loop_iterations
+           else if
+             s_dist.Stats.faults_injected
+             <> s_dist.Stats.retries + s_dist.Stats.fallbacks
+           then
+             QCheck2.Test.fail_reportf
+               "faults %d <> retries %d + fallbacks %d"
+               s_dist.Stats.faults_injected s_dist.Stats.retries
+               s_dist.Stats.fallbacks
+           else true
+         end))
 
 let () =
   Alcotest.run "delta"

@@ -476,7 +476,13 @@ let test_durable_validates_replay_digest () =
 (* ------------------------------------------------------------------ *)
 (* Chaos harness: SIGKILL the real server binary                       *)
 
-let server_exe = Filename.concat Filename.parent_dir_name "bin/server_main.exe"
+(* Resolved next to this executable, so the harness finds the server
+   both under [dune runtest] (cwd is the test directory) and under
+   [dune exec test/test_durable.exe] from the repository root. *)
+let server_exe =
+  Filename.concat
+    (Filename.dirname Sys.executable_name)
+    (Filename.concat Filename.parent_dir_name "bin/server_main.exe")
 
 type run = {
   pid : int;

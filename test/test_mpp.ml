@@ -13,6 +13,8 @@ module Bound_expr = Dbspinner_plan.Bound_expr
 module Program = Dbspinner_plan.Program
 module Partition = Dbspinner_mpp.Partition
 module Distributed = Dbspinner_mpp.Distributed
+module Executor = Dbspinner_exec.Executor
+module Options = Dbspinner_rewrite.Options
 open Helpers
 
 let stats () = Dbspinner_exec.Stats.create ()
@@ -307,6 +309,77 @@ let test_run_program_unsupported_recursive () =
   | exception Distributed.Unsupported _ -> ()
   | _ -> Alcotest.fail "expected Unsupported"
 
+(* ------------------------------------------------------------------ *)
+(* Error parity: both executors run the one step interpreter           *)
+
+let execution_error f =
+  match f () with
+  | exception Executor.Execution_error m -> m
+  | exception e ->
+    Alcotest.failf "expected Execution_error, got %s" (Printexc.to_string e)
+  | _ -> Alcotest.fail "expected Execution_error"
+
+(** Run [program] on both executors and check they fail with the same
+    message; returns it. *)
+let same_error name catalog program =
+  let single =
+    execution_error (fun () -> ignore (Executor.run_program catalog program))
+  in
+  Catalog.clear_temps catalog;
+  let dist =
+    execution_error (fun () ->
+        ignore (Distributed.run_program ~workers:3 catalog program))
+  in
+  Catalog.clear_temps catalog;
+  Alcotest.(check string) name single dist;
+  single
+
+let compile ?(options = Options.default) catalog sql =
+  Dbspinner_rewrite.Iterative_rewrite.compile ~options
+    ~lookup:(fun name ->
+      Option.map Dbspinner_storage.Table.schema
+        (Catalog.find_table_opt catalog name))
+    (Dbspinner_sql.Parser.parse_query sql)
+
+let test_error_parity () =
+  let schema = Schema.of_names [ "k" ] in
+  let uninitialized =
+    Program.make
+      [
+        Program.Materialize
+          { target = "c"; plan = Logical.values (rel [ "k" ] [ [ vi 1 ] ]) };
+        Program.Loop_end { loop_id = 7; body_start = 0 };
+        Program.Return (scan "c" schema);
+      ]
+      ~result_schema:schema
+  in
+  let m = same_error "uninitialized loop" (Catalog.create ()) uninitialized in
+  Alcotest.(check bool) "names the loop" true
+    (contains m "uninitialized loop 7");
+  let e = Dbspinner.Engine.create () in
+  ignore (Dbspinner.Engine.execute e "CREATE TABLE pairs (k INT, v INT)");
+  ignore
+    (Dbspinner.Engine.execute e "INSERT INTO pairs VALUES (1, 10), (1, 20)");
+  let catalog = Dbspinner.Engine.catalog e in
+  let m =
+    same_error "duplicate key" catalog
+      (compile catalog
+         "WITH ITERATIVE r (k, v) AS (SELECT 0, 0 ITERATE SELECT k, v FROM \
+          pairs UNTIL 2 ITERATIONS) SELECT * FROM r")
+  in
+  Alcotest.(check bool) "guides the user to aggregate" true
+    (contains m "duplicate" && contains m "GROUP BY");
+  let m =
+    same_error "iteration guard" (Catalog.create ())
+      (compile
+         ~options:{ Options.default with Options.max_iterations_guard = 8 }
+         (Catalog.create ())
+         "WITH ITERATIVE c (k, n) AS (SELECT 1, 0 ITERATE SELECT k, n + 1 \
+          FROM c UNTIL ANY n < 0) SELECT n FROM c")
+  in
+  Alcotest.(check bool) "names the CTE and the guard" true
+    (contains m "iterative CTE c" && contains m "8-iteration guard")
+
 let () =
   Alcotest.run "mpp"
     [
@@ -333,5 +406,6 @@ let () =
             test_run_program_duplicate_key_detected_across_partitions;
           Alcotest.test_case "unsupported-recursive" `Quick
             test_run_program_unsupported_recursive;
+          Alcotest.test_case "error-parity" `Quick test_error_parity;
         ] );
     ]

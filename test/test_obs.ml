@@ -304,6 +304,86 @@ let test_trace_under_faults () =
            | Ok () -> ()
            | Error m -> Alcotest.failf "invalid event %s: %s" line m)
 
+(** Step spans as (label, rows, delta) triples, in emission order. *)
+let step_gauges tr =
+  List.filter_map
+    (fun (s : Trace.span) ->
+      if s.Trace.kind = Trace.Step then
+        Some (s.Trace.label, s.Trace.rows, s.Trace.delta)
+      else None)
+    (Trace.spans tr)
+
+let test_step_spans_agree_across_executors () =
+  (* One interpreter emits every Step span, so the gauges of each step
+     match whichever executor ran the program. *)
+  let program = compile_standalone converging_sql in
+  let traced run =
+    let tr = Trace.create () in
+    run tr;
+    step_gauges tr
+  in
+  let seq =
+    traced (fun tr ->
+        ignore (Executor.run_program ~trace:tr (Catalog.create ()) program))
+  in
+  let par =
+    traced (fun tr ->
+        let parallel = Parallel.context ~workers:2 () in
+        ignore
+          (Executor.run_program ?parallel ~trace:tr (Catalog.create ())
+             program))
+  in
+  let dist =
+    traced (fun tr ->
+        ignore
+          (Distributed.run_program ~workers:3 ~trace:tr (Catalog.create ())
+             program))
+  in
+  let gauges = Alcotest.(list (triple string int int)) in
+  Alcotest.check gauges "parallel step spans" seq par;
+  Alcotest.check gauges "distributed step spans" seq dist;
+  let loop_ends =
+    List.filter (fun (l, _, _) -> String.starts_with ~prefix:"loop_end" l) seq
+  in
+  Alcotest.(check int) "one loop_end span per iteration" 4
+    (List.length loop_ends);
+  List.iter
+    (fun (_, rows, _) ->
+      Alcotest.(check int) "loop_end rows is the CTE cardinality" 1 rows)
+    loop_ends
+
+let test_fallback_traces_one_program () =
+  (* A distributed run that exhausts its retries reruns on the
+     single-node backend inside the same program: one Program span, and
+     no operator family reported twice. *)
+  let program = compile_standalone converging_sql in
+  let expected = Executor.run_program (Catalog.create ()) program in
+  let tr = Trace.create () in
+  let stats = Stats.create () in
+  let actual, _ =
+    Distributed.run_program ~workers:2 ~max_retries:0
+      ~fault:(Fault.probabilistic ~max_faults:1 ~seed:1 ~probability:1.0 ())
+      ~trace:tr ~stats (Catalog.create ()) program
+  in
+  Alcotest.(check bool) "fallback result = single-node" true
+    (Relation.equal_bag expected actual);
+  Alcotest.(check int) "fell back" 1 stats.Stats.fallbacks;
+  let spans = Trace.spans tr in
+  let of_kind k = List.filter (fun (s : Trace.span) -> s.Trace.kind = k) spans in
+  (match of_kind Trace.Program with
+  | [ s ] ->
+    Alcotest.(check int) "program span counts the fault" 1
+      s.Trace.counters.Trace.c_faults
+  | l -> Alcotest.failf "expected one program span, got %d" (List.length l));
+  let families =
+    List.map (fun (s : Trace.span) -> s.Trace.label) (of_kind Trace.Operator)
+  in
+  Alcotest.(check bool) "operator spans emitted" true (families <> []);
+  Alcotest.(check (list string))
+    "each operator family at most once"
+    (List.sort_uniq compare families)
+    (List.sort compare families)
+
 let () =
   Alcotest.run "obs"
     [
@@ -336,5 +416,9 @@ let () =
           Alcotest.test_case "delta-agreement" `Quick
             test_delta_agreement_across_executors;
           Alcotest.test_case "faults" `Quick test_trace_under_faults;
+          Alcotest.test_case "step-span-agreement" `Quick
+            test_step_spans_agree_across_executors;
+          Alcotest.test_case "fallback-one-program-span" `Quick
+            test_fallback_traces_one_program;
         ] );
     ]
